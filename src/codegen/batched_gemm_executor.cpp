@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "codegen/block_kernel.hpp"
 #include "codegen/gemm_executor.hpp"
 #include "common/failpoint.hpp"
 #include "common/strings.hpp"
@@ -16,9 +17,14 @@ void check_strides(const BatchedGemmShape& shape, std::int64_t lda, std::int64_t
   if (shape.batch <= 0) throw std::invalid_argument("batched gemm: batch must be positive");
   if (shape.batch == 1) return;  // strides never dereferenced past batch 0
   const GemmShape& g = shape.gemm;
-  const std::int64_t a_cols = g.trans_a ? g.m : g.k;
-  const std::int64_t b_cols = g.trans_b ? g.k : g.n;
-  if (stride_a < lda * a_cols || stride_b < ldb * b_cols || stride_c < ldc * g.n) {
+  // One operand's footprint is ld × columns; a product past int64 is larger
+  // than any stride.
+  const auto covers = [](std::int64_t stride, std::int64_t ld, std::int64_t cols) {
+    std::int64_t footprint = 0;
+    return !__builtin_mul_overflow(ld, cols, &footprint) && stride >= footprint;
+  };
+  if (!covers(stride_a, lda, g.trans_a ? g.m : g.k) ||
+      !covers(stride_b, ldb, g.trans_b ? g.k : g.n) || !covers(stride_c, ldc, g.n)) {
     throw std::invalid_argument(
         strings::format("batched gemm: stride smaller than one operand footprint "
                         "(%lld/%lld/%lld)",
@@ -34,10 +40,11 @@ void execute_impl(const BatchedGemmShape& shape, const GemmTuning& tuning, T alp
                   std::int64_t stride_c) {
   check_strides(shape, lda, stride_a, ldb, stride_b, ldc, stride_c);
   ISAAC_FAILPOINT("execute.throw");
-  for (std::int64_t i = 0; i < shape.batch; ++i) {
-    execute_gemm(shape.gemm, tuning, alpha, a + i * stride_a, lda, b + i * stride_b, ldb, beta,
-                 c + i * stride_c, ldc);
-  }
+  // The whole batch is one block grid: one fork/join per call.
+  detail::run_grid(tuning, {.shape = shape.gemm, .batch = shape.batch, .alpha = alpha,
+                            .beta = beta, .a = a, .lda = lda, .stride_a = stride_a, .b = b,
+                            .ldb = ldb, .stride_b = stride_b, .c = c, .ldc = ldc,
+                            .stride_c = stride_c});
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // Functional executor for strided-batched GEMM.
 //
 // Each batch element is the tiled GEMM algorithm of gemm_executor.hpp applied
-// to operand slices at a constant stride: A_i = A + i·stride_a, etc. The batch
-// loop runs on the calling thread; the per-batch GEMM already parallelizes
-// its block grid over the thread pool.
+// to operand slices at a constant stride: A_i = A + i·stride_a, etc. The
+// whole batch is one block grid (batch × per-item blocks) on the thread pool,
+// so a call costs one fork/join whatever the batch count.
 //
 // All buffers column-major per batch element (BLAS convention). Strides are
 // in elements, and must be at least the footprint of one batch operand.

@@ -15,6 +15,12 @@ std::string ConvShape::to_string() const {
                          static_cast<long long>(s), gpusim::dtype_name(dtype));
 }
 
+bool ConvShape::extents_fit() const noexcept {
+  std::int64_t twice = 0, padded = 0;
+  return !__builtin_mul_overflow(pad_h, 2, &twice) && !__builtin_add_overflow(h, twice, &padded) &&
+         !__builtin_mul_overflow(pad_w, 2, &twice) && !__builtin_add_overflow(w, twice, &padded);
+}
+
 ConvShape ConvShape::from_npq(std::int64_t n, std::int64_t p, std::int64_t q, std::int64_t k,
                               std::int64_t c, std::int64_t r, std::int64_t s,
                               gpusim::DataType dtype) {

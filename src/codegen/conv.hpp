@@ -36,6 +36,9 @@ struct ConvShape {
 
   std::int64_t p() const noexcept { return (h + 2 * pad_h - r) / stride_h + 1; }
   std::int64_t q() const noexcept { return (w + 2 * pad_w - s) / stride_w + 1; }
+  /// True when p() and q() can be computed without int64 overflow: the
+  /// padded extents H + 2·pad_h and W + 2·pad_w fit.
+  bool extents_fit() const noexcept;
   std::int64_t npq() const noexcept { return n * p() * q(); }
   std::int64_t crs() const noexcept { return c * r * s; }
   double flops() const noexcept {

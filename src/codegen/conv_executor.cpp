@@ -1,174 +1,90 @@
 #include "codegen/conv_executor.hpp"
 
-#include <algorithm>
-#include <mutex>
 #include <stdexcept>
 #include <vector>
 
+#include "codegen/block_kernel.hpp"
 #include "common/failpoint.hpp"
-#include "common/thread_pool.hpp"
 
 namespace isaac::codegen {
 
 namespace {
 
-std::int64_t ceil_div(std::int64_t a, std::int64_t b) { return (a + b - 1) / b; }
+[[noreturn]] void overflow() {
+  throw std::invalid_argument("execute_conv: shape overflows int64");
+}
 
-constexpr int kNumLocks = 64;
-
-/// Decompose an implicit-GEMM row index into (n, p, q): rows enumerate the
-/// output's N fastest, then Q, then P — matching the N-fastest O layout.
-struct RowIndex {
-  std::int64_t n, p, q;
-};
-
-RowIndex decompose_row(const ConvShape& s, std::int64_t row) {
-  RowIndex out{};
-  out.n = row % s.n;
-  row /= s.n;
-  out.q = row % s.q();
-  row /= s.q();
-  out.p = row;
+std::int64_t mul(std::int64_t a, std::int64_t b) {
+  std::int64_t out = 0;
+  if (__builtin_mul_overflow(a, b, &out)) overflow();
   return out;
 }
 
-/// Decompose a reduction index into (c, r, sx): S fastest, then R, then C.
-struct RedIndex {
-  std::int64_t c, r, sx;
-};
-
-RedIndex decompose_red(const ConvShape& s, std::int64_t red) {
-  RedIndex out{};
-  out.sx = red % s.s;
-  red /= s.s;
-  out.r = red % s.r;
-  red /= s.r;
-  out.c = red;
+std::int64_t add(std::int64_t a, std::int64_t b) {
+  std::int64_t out = 0;
+  if (__builtin_add_overflow(a, b, &out)) overflow();
   return out;
-}
-
-float gather_input(const ConvShape& s, const float* input, const RowIndex& row,
-                   const RedIndex& red) {
-  const std::int64_t hh = row.p * s.stride_h + red.r - s.pad_h;
-  const std::int64_t ww = row.q * s.stride_w + red.sx - s.pad_w;
-  if (hh < 0 || hh >= s.h || ww < 0 || ww >= s.w) return 0.0f;  // padding
-  // I[c, h, w, n], n fastest.
-  const std::int64_t idx = ((red.c * s.h + hh) * s.w + ww) * s.n + row.n;
-  return input[idx];
-}
-
-float load_filter(const ConvShape& s, const float* filters, const RedIndex& red,
-                  std::int64_t k) {
-  // F[c, r, s, k], k fastest.
-  const std::int64_t idx = ((red.c * s.r + red.r) * s.s + red.sx) * s.k + k;
-  return filters[idx];
-}
-
-std::int64_t output_index(const ConvShape& s, const RowIndex& row, std::int64_t k) {
-  // O[k, p, q, n], n fastest.
-  return ((k * s.p() + row.p) * s.q() + row.q) * s.n + row.n;
 }
 
 }  // namespace
 
-void execute_conv(const ConvShape& shape, const ConvTuning& tuning, float alpha,
-                  const float* input, const float* filters, float beta, float* output) {
+void execute_conv(const ConvShape& s, const ConvTuning& tuning, float alpha, const float* input,
+                  const float* filters, float beta, float* output) {
   ISAAC_FAILPOINT("execute.throw");
-  const GemmTuning gt = conv_gemm_tuning(tuning);
-  const std::int64_t m = shape.npq();   // implicit rows
-  const std::int64_t nk = shape.k;      // implicit cols
-  const std::int64_t crs = shape.crs();  // reduction depth
-  if (m <= 0 || nk <= 0 || crs <= 0) {
+  if (s.n <= 0 || s.c <= 0 || s.h <= 0 || s.w <= 0 || s.k <= 0 || s.r <= 0 || s.s <= 0 ||
+      s.pad_h < 0 || s.pad_w < 0 || s.stride_h <= 0 || s.stride_w <= 0) {
     throw std::invalid_argument("execute_conv: empty problem");
   }
+  if (!s.extents_fit()) overflow();
+  const std::int64_t P = s.p(), Q = s.q();
+  if (P <= 0 || Q <= 0) throw std::invalid_argument("execute_conv: empty problem");
+  // Every tensor's element count must fit, so every in-image tap's offset
+  // (the only ones the gather reads) does.
+  const std::int64_t npq = mul(mul(s.n, P), Q);
+  const std::int64_t crs = mul(mul(s.c, s.r), s.s);
+  const std::int64_t hwn = mul(mul(s.h, s.w), s.n);
+  mul(s.c, hwn);
+  mul(crs, s.k);
+  mul(npq, s.k);
 
-  const std::int64_t out_elems = m * nk;
-  ThreadPool::global().parallel_for(static_cast<std::size_t>(out_elems),
-                                    [&](std::size_t lo, std::size_t hi) {
-                                      for (std::size_t i = lo; i < hi; ++i) {
-                                        if (beta == 0.0f) {
-                                          output[i] = 0.0f;
-                                        } else if (beta != 1.0f) {
-                                          output[i] *= beta;
-                                        }
-                                      }
-                                    });
-
-  const std::int64_t grid_m = ceil_div(m, gt.ml);
-  const std::int64_t grid_n = ceil_div(nk, gt.nl);
-  const std::int64_t blocks = grid_m * grid_n * gt.kg;
-  const int depth = gt.u * gt.kl;
-
-  std::vector<std::mutex> locks(kNumLocks);
-
-  ThreadPool::global().parallel_for_each(static_cast<std::size_t>(blocks), [&](std::size_t bi) {
-    const std::int64_t tn = static_cast<std::int64_t>(bi) % grid_n;
-    const std::int64_t tm = (static_cast<std::int64_t>(bi) / grid_n) % grid_m;
-    const std::int64_t g = static_cast<std::int64_t>(bi) / (grid_n * grid_m);
-
-    const std::int64_t m0 = tm * gt.ml;
-    const std::int64_t n0 = tn * gt.nl;
-    const std::int64_t red_eff = ceil_div(crs, gt.kg);
-    const std::int64_t red0 = g * red_eff;
-    const std::int64_t red1 = std::min(crs, red0 + red_eff);
-    if (red0 >= red1) return;
-
-    // Indirection table for this block's row tile: precomputed (n,p,q)
-    // decompositions — "scrambling" metadata the real kernel stores once.
-    std::vector<RowIndex> rows(static_cast<std::size_t>(gt.ml));
-    for (int i = 0; i < gt.ml; ++i) {
-      const std::int64_t row = m0 + i;
-      rows[static_cast<std::size_t>(i)] =
-          row < m ? decompose_row(shape, row) : RowIndex{-1, -1, -1};
+  // The implicit GEMM (conv.hpp): rows (n, p, q) with n fastest, reduction
+  // steps (c, r, s) with s fastest. Row (n, p, q) at step (c, r, s) reads
+  // input ((c·H + p·stride − pad + r)·W + q·stride − pad + s)·N + n, split
+  // here into a per-row and a per-step offset, each tabled once per call.
+  // The padding and the filter extent can push either offset past int64
+  // even when every tensor fits, so each entry is built checked.
+  std::vector<detail::ConvGather::Row> rows(static_cast<std::size_t>(npq));
+  std::size_t row = 0;
+  for (std::int64_t p = 0; p < P; ++p) {
+    const std::int64_t h0 = add(mul(p, s.stride_h), -s.pad_h);
+    for (std::int64_t q = 0; q < Q; ++q) {
+      const std::int64_t w0 = add(mul(q, s.stride_w), -s.pad_w);
+      const std::int64_t origin = mul(add(mul(h0, s.w), w0), s.n);
+      for (std::int64_t n = 0; n < s.n; ++n) rows[row++] = {add(origin, n), h0, w0};
     }
-
-    std::vector<float> smem_i(static_cast<std::size_t>(depth) * gt.ml);
-    std::vector<float> smem_f(static_cast<std::size_t>(depth) * gt.nl);
-    std::vector<float> acc(static_cast<std::size_t>(gt.ml) * gt.nl, 0.0f);
-
-    for (std::int64_t rr = red0; rr < red1; rr += depth) {
-      for (int d = 0; d < depth; ++d) {
-        const std::int64_t red = rr + d;
-        const bool red_ok = red < red1;
-        const RedIndex ri = red_ok ? decompose_red(shape, red) : RedIndex{0, 0, 0};
-        for (int i = 0; i < gt.ml; ++i) {
-          const RowIndex& row = rows[static_cast<std::size_t>(i)];
-          smem_i[static_cast<std::size_t>(d) * gt.ml + i] =
-              (red_ok && row.n >= 0) ? gather_input(shape, input, row, ri) : 0.0f;
-        }
-        for (int j = 0; j < gt.nl; ++j) {
-          const std::int64_t k = n0 + j;
-          smem_f[static_cast<std::size_t>(d) * gt.nl + j] =
-              (red_ok && k < nk) ? load_filter(shape, filters, ri, k) : 0.0f;
-        }
-      }
-      for (int d = 0; d < depth; ++d) {
-        const float* irow = smem_i.data() + static_cast<std::size_t>(d) * gt.ml;
-        const float* frow = smem_f.data() + static_cast<std::size_t>(d) * gt.nl;
-        for (int j = 0; j < gt.nl; ++j) {
-          const float fv = frow[j];
-          if (fv == 0.0f) continue;
-          float* acol = acc.data() + static_cast<std::size_t>(j) * gt.ml;
-          for (int i = 0; i < gt.ml; ++i) acol[i] += irow[i] * fv;
-        }
+  }
+  std::vector<detail::ConvGather::Red> reds(static_cast<std::size_t>(crs));
+  std::size_t red = 0;
+  for (std::int64_t c = 0; c < s.c; ++c) {
+    for (std::int64_t r = 0; r < s.r; ++r) {
+      for (std::int64_t sx = 0; sx < s.s; ++sx) {
+        reds[red++] = {mul(add(mul(add(mul(c, s.h), r), s.w), sx), s.n), r, sx};
       }
     }
+  }
+  const detail::ConvGather gather{input, rows.data(), reds.data(), s.h, s.w};
 
-    const std::size_t lock_idx = static_cast<std::size_t>((tm * 31 + tn) % kNumLocks);
-    std::unique_lock<std::mutex> guard(locks[lock_idx], std::defer_lock);
-    if (gt.kg > 1) guard.lock();
-
-    for (int j = 0; j < gt.nl; ++j) {
-      const std::int64_t k = n0 + j;
-      if (k >= nk) continue;
-      for (int i = 0; i < gt.ml; ++i) {
-        const RowIndex& row = rows[static_cast<std::size_t>(i)];
-        if (row.n < 0) continue;
-        output[output_index(shape, row, k)] +=
-            alpha * acc[static_cast<std::size_t>(j) * gt.ml + i];
-      }
-    }
-  });
+  // F[c, r, s, k] is op(B) stored N×K (k fastest, ld = K); O[k, p, q, n] is
+  // column-major C with ld = NPQ, its row index being the implicit row.
+  GemmShape implicit;
+  implicit.m = npq;
+  implicit.n = s.k;
+  implicit.k = crs;
+  implicit.trans_b = true;
+  detail::run_grid(conv_gemm_tuning(tuning),
+                   {.shape = implicit, .alpha = alpha, .beta = beta, .b = filters, .ldb = s.k,
+                    .c = output, .ldc = npq},
+                   &gather);
 }
 
 void reference_conv(const ConvShape& shape, float alpha, const float* input,

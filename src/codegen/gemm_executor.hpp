@@ -7,6 +7,10 @@
 // ground truth for correctness tests and what the public isaac::gemm() API
 // executes after kernel selection.
 //
+// The block kernel behind it is shared: the batched and conv executors run
+// the same grid (codegen/block_kernel.hpp) and differ only in how op(A) is
+// loaded.
+//
 // All buffers are column-major (BLAS convention). The executor computes in
 // fp32 for F16/F32 shapes and fp64 for F64 shapes; simulated device precision
 // is not modelled (see DESIGN.md).

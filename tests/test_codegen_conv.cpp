@@ -1,7 +1,9 @@
 // Tests for the CONV parameterization: implicit-GEMM lowering, validity,
-// analysis, and the functional executor against the naive direct reference.
+// analysis, and the functional executor against the naive direct reference
+// and, bit for bit, against the ordered per-element semantics.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 #include "codegen/conv.hpp"
@@ -227,6 +229,117 @@ INSTANTIATE_TEST_SUITE_P(
           t.bn = 2;
           return t;
         }())));
+
+// -------------------------------------------------------- exact semantics --
+// With CG == 1 every output element is one ordered float reduction over
+// (c, r, s) ascending (S fastest): taps whose filter value is zero skipped,
+// padded input taps read as zero, then o = {0 | o | o·beta} + alpha·acc.
+// Any tiling must reproduce it bit for bit (default x86-64 build, no FMA).
+void ordered_reference(const ConvShape& s, float alpha, const float* input,
+                       const float* filters, float beta, float* output) {
+  const std::int64_t P = s.p(), Q = s.q();
+  for (std::int64_t k = 0; k < s.k; ++k) {
+    for (std::int64_t p = 0; p < P; ++p) {
+      for (std::int64_t q = 0; q < Q; ++q) {
+        for (std::int64_t n = 0; n < s.n; ++n) {
+          float acc = 0.0f;
+          for (std::int64_t c = 0; c < s.c; ++c) {
+            for (std::int64_t r = 0; r < s.r; ++r) {
+              for (std::int64_t sx = 0; sx < s.s; ++sx) {
+                const float fv = filters[((c * s.r + r) * s.s + sx) * s.k + k];
+                if (fv == 0.0f) continue;
+                const std::int64_t hh = p * s.stride_h + r - s.pad_h;
+                const std::int64_t ww = q * s.stride_w + sx - s.pad_w;
+                const bool inside = hh >= 0 && hh < s.h && ww >= 0 && ww < s.w;
+                const float iv = inside ? input[((c * s.h + hh) * s.w + ww) * s.n + n] : 0.0f;
+                acc += iv * fv;
+              }
+            }
+          }
+          float& out = output[((k * P + p) * Q + q) * s.n + n];
+          const float base = beta == 0.0f ? 0.0f : beta == 1.0f ? out : out * beta;
+          out = base + alpha * acc;
+        }
+      }
+    }
+  }
+}
+
+/// Uniform values with about one in five set to an exact zero (some -0).
+std::vector<float> with_zeros(Rng& rng, std::int64_t n) {
+  std::vector<float> v(static_cast<std::size_t>(n));
+  for (auto& x : v) {
+    const double u = rng.uniform(0, 1);
+    x = u < 0.1 ? 0.0f : u < 0.2 ? -0.0f : static_cast<float>(rng.uniform(-1, 1));
+  }
+  return v;
+}
+
+/// A block tile of one output pixel (ML = 1), as the tuner picks for small
+/// layers.
+ConvTuning pixel_tuning(int bk, int tk) {
+  ConvTuning t;
+  t.tk = tk;
+  t.tp = t.tq = t.tn = 1;
+  t.bk = bk;
+  t.bp = t.bq = t.bn = 1;
+  t.u = 8;
+  return t;
+}
+
+class ConvExecutorExact : public ::testing::TestWithParam<ConvCase> {};
+
+TEST_P(ConvExecutorExact, BitIdenticalToOrderedReference) {
+  const ConvShape& s = GetParam().shape;
+  const ConvTuning& t = GetParam().tuning;
+  Rng rng(static_cast<std::uint64_t>(s.c * 13 + s.k * 5 + s.n + s.stride_h));
+  const auto input = with_zeros(rng, s.c * s.h * s.w * s.n);
+  const auto filters = with_zeros(rng, s.c * s.r * s.s * s.k);
+  const auto out0 = with_zeros(rng, s.k * s.p() * s.q() * s.n);
+  for (const float beta : {0.0f, 1.0f, 0.5f}) {
+    std::vector<float> out = out0, out_ref = out0;
+    execute_conv(s, t, 0.75f, input.data(), filters.data(), beta, out.data());
+    ordered_reference(s, 0.75f, input.data(), filters.data(), beta, out_ref.data());
+    EXPECT_EQ(std::memcmp(out.data(), out_ref.data(), out.size() * sizeof(float)), 0)
+        << s.to_string() << " / " << t.to_string() << " beta " << beta;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    TilesPaddingStride, ConvExecutorExact,
+    ::testing::Values(
+        cc(ConvShape::from_npq(1, 12, 12, 16, 8, 3, 3), pixel_tuning(8, 2)),
+        cc(ConvShape::from_npq(2, 7, 5, 12, 6, 3, 3), pixel_tuning(16, 4)),
+        cc(ConvShape::from_npq(1, 11, 10, 32, 8, 3, 3),
+           [] {
+             auto t = pixel_tuning(8, 2);
+             t.tn = t.bn = 2;  // ML = 2
+             return t;
+           }()),
+        cc(ConvShape::from_npq(3, 7, 5, 6, 5, 3, 3), tiny_tuning()),
+        cc(ConvShape::from_npq(4, 6, 6, 16, 8, 1, 1), tiny_tuning()),
+        cc(strided_padded(), pixel_tuning(4, 2)),
+        cc(strided_padded(), [] {
+          auto t = tiny_tuning();
+          t.bk = 4;
+          t.bn = 2;
+          return t;
+        }()),
+        cc(
+            [] {
+              ConvShape s = strided_padded();
+              s.n = 3;
+              s.c = 5;
+              s.k = 10;
+              s.pad_h = 2;
+              s.stride_w = 3;
+              return s;
+            }(),
+            [] {
+              auto t = tiny_tuning();
+              t.cl = 2;
+              return t;
+            }())));
 
 TEST(ConvExecutor, BetaScalesExistingOutput) {
   const auto s = ConvShape::from_npq(2, 4, 4, 2, 2, 3, 3);

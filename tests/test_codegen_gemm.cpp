@@ -1,10 +1,15 @@
 // Tests for the GEMM parameterization: validity (legal space X), static
 // analysis (KernelProfile), and the functional executor against the naive
-// reference across shapes, layouts, and reduction splits.
+// reference across shapes, layouts, and reduction splits, plus the exact
+// per-element semantics every KG == 1 tuning must reproduce bit for bit.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <vector>
 
+#include "codegen/batched_gemm_executor.hpp"
 #include "codegen/gemm.hpp"
 #include "codegen/gemm_executor.hpp"
 #include "common/rng.hpp"
@@ -268,6 +273,160 @@ INSTANTIATE_TEST_SUITE_P(
         ExecCase{32, 32, 100, false, false, make_tuning(4, 4, 32, 32, 4, 1, 8)},
         // Single-element micro-tiles.
         ExecCase{16, 16, 32, false, false, make_tuning(1, 1, 8, 8, 4)}));
+
+// -------------------------------------------------------- exact semantics --
+// With KG == 1 every element of C is one ordered float reduction: k
+// ascending, products whose B value is zero skipped, then
+// c = {0 | c | c·beta} + alpha·acc. Any tiling (ML, NL, U, KL) and layout
+// must reproduce it bit for bit. (Assumes the default x86-64 build, which
+// has no FMA to contract a·b + acc into.)
+template <typename T>
+void ordered_reference(const GemmShape& s, T alpha, const T* a, std::int64_t lda, const T* b,
+                       std::int64_t ldb, T beta, T* c, std::int64_t ldc) {
+  for (std::int64_t n = 0; n < s.n; ++n) {
+    for (std::int64_t m = 0; m < s.m; ++m) {
+      T acc = 0;
+      for (std::int64_t k = 0; k < s.k; ++k) {
+        const T bv = s.trans_b ? b[n + k * ldb] : b[k + n * ldb];
+        if (bv == T(0)) continue;
+        acc += (s.trans_a ? a[k + m * lda] : a[m + k * lda]) * bv;
+      }
+      T& out = c[m + n * ldc];
+      const T base = beta == T(0) ? T(0) : beta == T(1) ? out : out * beta;
+      out = base + alpha * acc;
+    }
+  }
+}
+
+/// Uniform values with about one in five set to an exact zero (some -0).
+template <typename T>
+std::vector<T> with_zeros(Rng& rng, std::size_t n) {
+  std::vector<T> v(n);
+  for (auto& x : v) {
+    const double u = rng.uniform(0, 1);
+    x = u < 0.1 ? T(0) : u < 0.2 ? -T(0) : static_cast<T>(rng.uniform(-1, 1));
+  }
+  return v;
+}
+
+template <typename T>
+bool bit_equal(const std::vector<T>& x, const std::vector<T>& y) {
+  return x.size() == y.size() && std::memcmp(x.data(), y.data(), x.size() * sizeof(T)) == 0;
+}
+
+struct ExactCase {
+  std::int64_t m, n, k;
+  GemmTuning tuning;
+};
+
+class GemmExecutorExact
+    : public ::testing::TestWithParam<std::tuple<ExactCase, bool, bool>> {};
+
+TEST_P(GemmExecutorExact, BitIdenticalToOrderedReference) {
+  const auto& [ec, ta, tb] = GetParam();
+  const GemmShape shape = make_shape(ec.m, ec.n, ec.k, DataType::F32, ta, tb);
+  Rng rng(static_cast<std::uint64_t>(ec.m * 31 + ec.n * 7 + ec.k + (ta ? 1000 : 0) +
+                                     (tb ? 2000 : 0)));
+  // Padded leading dimensions; C's padding rows must come back unchanged.
+  const std::int64_t lda = (ta ? ec.k : ec.m) + 3;
+  const std::int64_t ldb = (tb ? ec.n : ec.k) + 1;
+  const std::int64_t ldc = ec.m + 2;
+  const auto a = with_zeros<float>(rng, static_cast<std::size_t>(lda * (ta ? ec.m : ec.k)));
+  const auto b = with_zeros<float>(rng, static_cast<std::size_t>(ldb * (tb ? ec.k : ec.n)));
+  const auto c0 = with_zeros<float>(rng, static_cast<std::size_t>(ldc * ec.n));
+  for (const float beta : {0.0f, 1.0f, 0.5f}) {
+    std::vector<float> c = c0, c_ref = c0;
+    execute_gemm(shape, ec.tuning, 1.25f, a.data(), lda, b.data(), ldb, beta, c.data(), ldc);
+    ordered_reference(shape, 1.25f, a.data(), lda, b.data(), ldb, beta, c_ref.data(), ldc);
+    EXPECT_TRUE(bit_equal(c, c_ref)) << shape.to_string() << " / " << ec.tuning.to_string()
+                                     << " beta " << beta;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    TilesLayoutsBetas, GemmExecutorExact,
+    ::testing::Combine(
+        ::testing::Values(
+            // ML = 8 / 16 / 32 / 64, exact tiles.
+            ExactCase{64, 32, 48, make_tuning(4, 4, 8, 16, 4)},
+            ExactCase{64, 64, 64, make_tuning(4, 4, 16, 32, 8)},
+            ExactCase{64, 64, 40, make_tuning(4, 4, 32, 8, 8, 2)},
+            ExactCase{128, 32, 64, make_tuning(8, 4, 64, 32, 4)},
+            // Ragged M, N and K with every ML.
+            ExactCase{61, 37, 53, make_tuning(2, 4, 8, 16, 4)},
+            ExactCase{45, 29, 19, make_tuning(4, 2, 16, 8, 8)},
+            ExactCase{70, 33, 77, make_tuning(4, 4, 32, 16, 4, 2)},
+            ExactCase{97, 41, 35, make_tuning(8, 4, 64, 16, 8)},
+            // ML = 1 / 2 / 4, with ragged column counts.
+            ExactCase{13, 21, 30, make_tuning(1, 1, 4, 4, 2)},
+            ExactCase{19, 27, 41, make_tuning(1, 2, 2, 16, 4)},
+            ExactCase{9, 50, 33, make_tuning(1, 4, 1, 32, 8)}),
+        ::testing::Bool(), ::testing::Bool()));
+
+TEST(GemmExecutorExact, NonFiniteAWithZeroBIsSkipped) {
+  // inf · 0 would be NaN: a zero B value must skip the product outright.
+  for (const int ml : {1, 2, 4, 8, 16, 64}) {
+    for (const bool tb : {false, true}) {
+      const GemmShape shape = make_shape(23, 19, 29, DataType::F32, false, tb);
+      Rng rng(static_cast<std::uint64_t>(ml * 2 + tb));
+      auto a = with_zeros<float>(rng, 23 * 29);
+      const auto b = with_zeros<float>(rng, 29 * 23);
+      for (std::size_t i = 0; i < a.size(); i += 7) {
+        a[i] = i % 3 == 0 ? std::numeric_limits<float>::infinity()
+                          : std::numeric_limits<float>::quiet_NaN();
+      }
+      std::vector<float> c(23 * 19, 0.0f), c_ref = c;
+      const GemmTuning t = make_tuning(1, 1, ml, 8, 4);
+      execute_gemm(shape, t, 1.0f, a.data(), 23, b.data(), tb ? 19 : 29, 0.0f, c.data(), 23);
+      ordered_reference(shape, 1.0f, a.data(), 23, b.data(), tb ? 19 : 29, 0.0f, c_ref.data(),
+                        23);
+      for (std::size_t i = 0; i < c.size(); ++i) {
+        const bool same = std::isnan(c[i]) ? std::isnan(c_ref[i])
+                                           : std::memcmp(&c[i], &c_ref[i], sizeof(float)) == 0;
+        ASSERT_TRUE(same) << "ml " << ml << " tb " << tb << " at " << i << ": " << c[i]
+                          << " vs " << c_ref[i];
+      }
+    }
+  }
+}
+
+TEST(GemmExecutorExact, DoublePrecisionBitIdentical) {
+  const GemmShape shape = make_shape(37, 45, 71, DataType::F64, true, false);
+  Rng rng(21);
+  const auto a = with_zeros<double>(rng, 71 * 37);
+  const auto b = with_zeros<double>(rng, 71 * 45);
+  const auto c0 = with_zeros<double>(rng, 37 * 45);
+  for (const double beta : {0.0, 1.0, 0.5}) {
+    std::vector<double> c = c0, c_ref = c0;
+    execute_gemm(shape, make_tuning(4, 4, 16, 16, 4), -0.75, a.data(), 71, b.data(), 71, beta,
+                 c.data(), 37);
+    ordered_reference(shape, -0.75, a.data(), 71, b.data(), 71, beta, c_ref.data(), 37);
+    EXPECT_TRUE(bit_equal(c, c_ref)) << "beta " << beta;
+  }
+}
+
+TEST(GemmExecutorExact, BatchedEqualsPerItemGemm) {
+  BatchedGemmShape shape;
+  shape.batch = 5;
+  shape.gemm = make_shape(37, 26, 45, DataType::F32, false, true);
+  const GemmTuning tuning = make_tuning(4, 2, 16, 8, 4);
+  const std::int64_t lda = 40, ldb = 27, ldc = 38;
+  const std::int64_t stride_a = lda * 45 + 5, stride_b = ldb * 45 + 3, stride_c = ldc * 26 + 7;
+  Rng rng(5);
+  const auto a = with_zeros<float>(rng, static_cast<std::size_t>(stride_a * shape.batch));
+  const auto b = with_zeros<float>(rng, static_cast<std::size_t>(stride_b * shape.batch));
+  const auto c0 = with_zeros<float>(rng, static_cast<std::size_t>(stride_c * shape.batch));
+  for (const float beta : {0.0f, 1.0f, 0.5f}) {
+    std::vector<float> c = c0, c_items = c0;
+    execute_batched_gemm(shape, tuning, 1.5f, a.data(), lda, stride_a, b.data(), ldb, stride_b,
+                         beta, c.data(), ldc, stride_c);
+    for (std::int64_t i = 0; i < shape.batch; ++i) {
+      execute_gemm(shape.gemm, tuning, 1.5f, a.data() + i * stride_a, lda,
+                   b.data() + i * stride_b, ldb, beta, c_items.data() + i * stride_c, ldc);
+    }
+    EXPECT_TRUE(bit_equal(c, c_items)) << "beta " << beta;
+  }
+}
 
 TEST(GemmExecutor, DoublePrecision) {
   const GemmShape shape = make_shape(40, 40, 200, DataType::F64, false, true);

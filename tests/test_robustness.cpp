@@ -1,19 +1,24 @@
 // Fault-injected hardening of the dispatch runtime (DESIGN.md, "Failure
 // domains"): corrupt-cache quarantine, the fallback tier, the circuit
 // breaker, measurement retry, refinement admission control and retry-then-
-// drop, disk-write degradation with re-probe, retrain backoff, and the
-// constructor-time option validation.
+// drop, disk-write degradation with re-probe, retrain backoff, the
+// constructor-time option validation, the execute failpoint's one hit per
+// executor call, and the executors' rejection of extreme shapes.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "codegen/batched_gemm_executor.hpp"
+#include "codegen/conv_executor.hpp"
+#include "codegen/gemm_executor.hpp"
 #include "common/circuit_breaker.hpp"
 #include "common/failpoint.hpp"
 #include "common/rng.hpp"
@@ -418,6 +423,149 @@ TEST_F(RobustnessTest, ContextOptionsValidateAtConstruction) {
   opts = {};
   opts.noise_sigma = -0.1;
   EXPECT_THROW(core::Context ctx(device, opts), std::invalid_argument);
+}
+
+// ---- functional executors -----------------------------------------------
+
+TEST_F(RobustnessTest, ExecuteFailpointHitsOncePerExecutorCall) {
+  core::Context ctx(gpusim::tesla_p100(), fast_options());
+  ctx.set_model(unit_model());
+  // Armed but never firing: every evaluation of the site counts a hit.
+  fp::arm("execute.throw", "prob:0");
+  const std::uint64_t fires_before = fp::fires("execute.throw");
+
+  codegen::BatchedGemmShape batched;
+  batched.batch = 6;
+  batched.gemm = gemm_shape(24, 16, 32);
+  const std::int64_t sa = 24 * 32, sb = 32 * 16, sc = 24 * 16;
+  std::vector<float> a(static_cast<std::size_t>(sa * batched.batch), 1.0f);
+  std::vector<float> b(static_cast<std::size_t>(sb * batched.batch), 1.0f);
+  std::vector<float> c(static_cast<std::size_t>(sc * batched.batch), 0.0f);
+  const auto conv = codegen::ConvShape::from_npq(2, 5, 5, 8, 4, 3, 3);
+  std::vector<float> input(static_cast<std::size_t>(conv.c * conv.h * conv.w * conv.n), 1.0f);
+  std::vector<float> filters(static_cast<std::size_t>(conv.crs() * conv.k), 1.0f);
+  std::vector<float> output(static_cast<std::size_t>(conv.k * conv.npq()), 0.0f);
+
+  for (int round = 0; round < 3; ++round) {  // cold call, then cache hits
+    std::uint64_t before = fp::hits("execute.throw");
+    ctx.batched_gemm(batched, 1.0f, a.data(), 24, sa, b.data(), 32, sb, 0.0f, c.data(), 24, sc);
+    EXPECT_EQ(fp::hits("execute.throw") - before, 1u) << "batched_gemm, round " << round;
+    before = fp::hits("execute.throw");
+    ctx.gemm(batched.gemm, 1.0f, a.data(), 24, b.data(), 32, 0.0f, c.data(), 24);
+    EXPECT_EQ(fp::hits("execute.throw") - before, 1u) << "gemm, round " << round;
+    before = fp::hits("execute.throw");
+    ctx.conv(conv, 1.0f, input.data(), filters.data(), 0.0f, output.data());
+    EXPECT_EQ(fp::hits("execute.throw") - before, 1u) << "conv, round " << round;
+  }
+  EXPECT_EQ(fp::fires("execute.throw"), fires_before);
+  for (const float v : c) ASSERT_EQ(v, 32.0f);
+  ctx.drain_background();
+}
+
+TEST_F(RobustnessTest, ExecutorsRejectOverflowingGridsBeforeWriting) {
+  codegen::GemmTuning t;
+  t.ms = t.ns = 4;
+  t.ml = t.nl = 8;
+  t.u = 4;
+  // The buffers are never read: each call must throw before touching them.
+  std::vector<float> a(16, 1.0f), b(16, 1.0f), c(16, 7.0f);
+  const auto untouched = [&] {
+    for (const float v : c) {
+      if (v != 7.0f) return false;
+    }
+    return true;
+  };
+
+  // M = N = 2^40 with 8×8 tiles: 2^74 blocks.
+  const std::int64_t big = std::int64_t{1} << 40;
+  const auto huge = gemm_shape(big, big, 1);
+  EXPECT_THROW(codegen::execute_gemm(huge, t, 1.0f, a.data(), big, b.data(), 1, 0.5f, c.data(),
+                                     big),
+               std::invalid_argument);
+  // The same grid split along K: the KG pre-pass must not run either.
+  t.kg = 4;
+  EXPECT_THROW(codegen::execute_gemm(gemm_shape(big, big, 64), t, 1.0f, a.data(), big, b.data(),
+                                     64, 0.0f, c.data(), big),
+               std::invalid_argument);
+  t.kg = 1;
+  // 2^34 blocks per item, fine alone, times a 2^30 batch.
+  codegen::BatchedGemmShape batched;
+  batched.batch = std::int64_t{1} << 30;
+  batched.gemm = gemm_shape(std::int64_t{1} << 20, std::int64_t{1} << 20, 1);
+  const std::int64_t side = batched.gemm.m;
+  EXPECT_THROW(codegen::execute_batched_gemm(batched, t, 1.0f, a.data(), side, side, b.data(), 1,
+                                             side, 0.0f, c.data(), side, side * side),
+               std::invalid_argument);
+  // A stride check whose footprint product itself overflows: 2^40 × 2^30.
+  const std::int64_t max = std::numeric_limits<std::int64_t>::max();
+  batched.batch = 2;
+  batched.gemm = gemm_shape(8, 8, std::int64_t{1} << 30);
+  EXPECT_THROW(codegen::execute_batched_gemm(batched, t, 1.0f, a.data(), big, max, b.data(),
+                                             batched.gemm.k, max, 0.0f, c.data(), 8, max),
+               std::invalid_argument);
+  // Tunings the kernel cannot tile with: empty tiles, and a staged tile
+  // (U·KL × ML = 2^35) past the kernel's int indexing.
+  codegen::GemmTuning deep = t;
+  deep.u = 1 << 20;
+  deep.kl = 1 << 12;
+  EXPECT_THROW(codegen::execute_gemm(gemm_shape(4, 4, 4), deep, 1.0f, a.data(), 4, b.data(), 4,
+                                     0.0f, c.data(), 4),
+               std::invalid_argument);
+  for (const int bad : {0, -8}) {
+    codegen::GemmTuning z = t;
+    z.ml = bad;
+    EXPECT_THROW(codegen::execute_gemm(gemm_shape(4, 4, 4), z, 1.0f, a.data(), 4, b.data(), 4,
+                                       0.0f, c.data(), 4),
+                 std::invalid_argument);
+    z = t;
+    z.kg = bad;
+    EXPECT_THROW(codegen::execute_gemm(gemm_shape(4, 4, 4), z, 1.0f, a.data(), 4, b.data(), 4,
+                                       0.0f, c.data(), 4),
+                 std::invalid_argument);
+  }
+  EXPECT_TRUE(untouched());
+
+  // Conv: tensor sizes past int64, a zero stride, a negative pad.
+  codegen::ConvTuning ct;
+  codegen::ConvShape cs = codegen::ConvShape::from_npq(big, 64, 64, 8, big, 3, 3);
+  EXPECT_THROW(codegen::execute_conv(cs, ct, 1.0f, a.data(), b.data(), 0.0f, c.data()),
+               std::invalid_argument);
+  cs = codegen::ConvShape::from_npq(1, 4, 4, 8, 2, 3, 3);
+  cs.h = std::numeric_limits<std::int64_t>::max() - 1;
+  cs.pad_h = 2;
+  EXPECT_THROW(codegen::execute_conv(cs, ct, 1.0f, a.data(), b.data(), 0.0f, c.data()),
+               std::invalid_argument);
+  cs = codegen::ConvShape::from_npq(1, 4, 4, 8, 2, 3, 3);
+  cs.stride_w = 0;
+  EXPECT_THROW(codegen::execute_conv(cs, ct, 1.0f, a.data(), b.data(), 0.0f, c.data()),
+               std::invalid_argument);
+  cs.stride_w = 1;
+  cs.pad_h = -1;
+  EXPECT_THROW(codegen::execute_conv(cs, ct, 1.0f, a.data(), b.data(), 0.0f, c.data()),
+               std::invalid_argument);
+  // Small tensors whose gather offsets overflow. A 2^61 pad at a 2^62
+  // stride gives P = 2 and a first-row origin of −2^61 · W = −2^64.
+  cs = codegen::ConvShape::from_npq(1, 4, 4, 8, 1, 3, 3);
+  cs.h = 4;
+  cs.w = 8;
+  cs.pad_h = std::int64_t{1} << 61;
+  cs.stride_h = std::int64_t{1} << 62;
+  ASSERT_EQ(cs.p(), 2);
+  EXPECT_THROW(codegen::execute_conv(cs, ct, 1.0f, a.data(), b.data(), 0.0f, c.data()),
+               std::invalid_argument);
+  // A filter 2^10 + 1 rows tall over a 2^9-padded one-row input 2^53
+  // wide: one output pixel and 1025 steps, but step r = 2^10 sits at
+  // offset r · W = 2^63.
+  cs = codegen::ConvShape{};
+  cs.w = std::int64_t{1} << 53;
+  cs.r = (1 << 10) + 1;
+  cs.pad_h = 1 << 9;
+  cs.stride_w = cs.w;
+  ASSERT_EQ(cs.p(), 1);
+  ASSERT_EQ(cs.q(), 1);
+  EXPECT_THROW(codegen::execute_conv(cs, ct, 1.0f, a.data(), b.data(), 0.0f, c.data()),
+               std::invalid_argument);
+  EXPECT_TRUE(untouched());
 }
 
 }  // namespace isaac
