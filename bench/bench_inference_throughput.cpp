@@ -204,8 +204,8 @@ void BM_DispatchThroughput(benchmark::State& state) {
   auto& ctx = dispatch_context();
   const auto shapes = dispatch_shapes();
   if (state.thread_index() == 0) {
-    ctx.warmup(shapes).wait();  // all shapes hot before timing starts
-    ctx.drain_background();     // …and fully refined: no tuning noise in-loop
+    ctx.warmup<core::GemmOp>(shapes).wait();  // all shapes hot before timing starts
+    ctx.drain_background();                   // …and fully refined: no tuning noise in-loop
   }
 
   // Per-thread buffers sized for the largest shape.
@@ -227,7 +227,7 @@ void BM_DispatchSelectOnly(benchmark::State& state) {
   auto& ctx = dispatch_context();
   const auto shapes = dispatch_shapes();
   if (state.thread_index() == 0) {
-    ctx.warmup(shapes).wait();
+    ctx.warmup<core::GemmOp>(shapes).wait();
     ctx.drain_background();
   }
   std::size_t i = 0;
@@ -308,7 +308,7 @@ RetrainLatency measure_select_under_retrain() {
   core::Context ctx(gpusim::tesla_p100(), opts);
   ctx.set_model(model());
   const auto shapes = dispatch_shapes();
-  ctx.warmup(shapes).wait();
+  ctx.warmup<core::GemmOp>(shapes).wait();
   ctx.drain_background();
 
   using Clock = std::chrono::steady_clock;
@@ -845,9 +845,29 @@ search::RankedCandidates<Op> legacy_rank(const search::SearchProblem<Op>& proble
 /// gate on the weakest op instead of just the last one printed.
 struct RankThroughputResult {
   double agreement = 0.0;     ///< top-k ordering agreement vs legacy_rank
-  double enum_speedup = 0.0;  ///< pruned-walk skeleton build vs generate-and-test
+  double enum_speedup = 0.0;  ///< pooled pruned walk vs generate-and-test
   bool skeleton_match = true; ///< pruned survivor set == sweep survivor set
 };
+
+// The enumeration head-to-head runs on a relaxed shape: same dtype, layout,
+// filter geometry, padding and strides, but extents so large that every
+// shape-dependent legality check passes whenever it can. The survivors are
+// then the points that pass the shape-independent checks — the densest
+// legal set either engine ever has to enumerate for that structural class.
+codegen::GemmShape relaxed_rank_shape(codegen::GemmShape s) {
+  s.m = s.n = s.k = std::int64_t{1} << 30;
+  return s;
+}
+codegen::ConvShape relaxed_rank_shape(codegen::ConvShape s) {
+  s.n = s.c = s.k = std::int64_t{1} << 20;
+  s.h = s.w = std::int64_t{1} << 20;
+  return s;
+}
+codegen::BatchedGemmShape relaxed_rank_shape(codegen::BatchedGemmShape s) {
+  s.gemm = relaxed_rank_shape(s.gemm);
+  s.batch = 1;
+  return s;
+}
 
 template <typename Op>
 RankThroughputResult rank_throughput_op(
@@ -869,8 +889,7 @@ RankThroughputResult rank_throughput_op(
   cfg.max_candidates = max_candidates;
   constexpr std::size_t kTopK = 100;
 
-  // Cold pass: pays the one-off structural-skeleton sweep and grows the
-  // thread-local arenas.
+  // Cold pass: grows the thread-local arenas.
   auto t0 = Clock::now();
   const auto first = search::rank_legal_space(problem, cfg, kTopK);
   const double cold_s = secs(t0);
@@ -925,56 +944,66 @@ RankThroughputResult rank_throughput_op(
     }
   }
 
-  // Enumeration engines head-to-head on the relaxed (skeleton) shape: the
-  // generate-and-test flat-range sweep the skeleton builder ran before the
-  // constraint-propagating rewrite, vs the pruned walk that replaced it —
-  // same thread pool, same validate gate, survivor sets compared exactly.
+  // Enumeration engines head-to-head on the relaxed shape: the
+  // generate-and-test flat-range sweep vs the constraint-propagating pruned
+  // walk that rank_legal_space runs (pool chunks by surviving prefix) — same
+  // thread pool, same validate gate, survivor sets compared exactly.
+  using Traits = core::OperationTraits<Op>;
+  const typename Traits::Shape relaxed = relaxed_rank_shape(rank_shape);
+  const auto& domains = space.domains();
+  const std::size_t total = space.size();
   double enum_sweep_s = 0.0;
   double enum_pruned_s = 0.0;
-  std::size_t skeleton_points = 0;
-  bool skeleton_match = true;
-  if constexpr (requires { core::OperationTraits<Op>::relax_shape(rank_shape); }) {
-    using Traits = core::OperationTraits<Op>;
-    const typename Traits::Shape relaxed = Traits::relax_shape(rank_shape);
-    const auto& domains = space.domains();
-    const std::size_t total = space.size();
 
-    // Three timed reps of each engine, interleaved so both sides sample the
-    // same machine-noise window; the engines are deterministic, so the
-    // per-side minimum is the measurement least polluted by noise.
-    constexpr int kEnumReps = 3;
-    std::vector<std::uint64_t> sweep;
-    std::vector<std::uint64_t> pruned;
-    for (int rep = 0; rep < kEnumReps; ++rep) {
-      t0 = Clock::now();
-      constexpr std::size_t kChunk = std::size_t{1} << 16;
-      const std::size_t nchunks = (total + kChunk - 1) / kChunk;
-      std::vector<std::vector<std::uint64_t>> parts(nchunks);
-      ThreadPool::global().parallel_for_each(nchunks, [&](std::size_t ci) {
-        const std::size_t begin = ci * kChunk;
-        const std::size_t end = std::min(total, begin + kChunk);
-        search::Choice c(domains.size(), 0);
-        search::choice_from_flat_into(begin, domains, c);
-        auto& part = parts[ci];
-        for (std::size_t flat = begin; flat < end; ++flat) {
-          if (Traits::validate(relaxed, space.decode(c), dev)) part.push_back(flat);
-          search::advance_choice(c, domains);
-        }
-      });
-      sweep.clear();
-      for (const auto& part : parts) sweep.insert(sweep.end(), part.begin(), part.end());
-      const double sweep_s = secs(t0);
-      if (rep == 0 || sweep_s < enum_sweep_s) enum_sweep_s = sweep_s;
+  // Three timed reps of each engine, interleaved so both sides sample the
+  // same machine-noise window; the engines are deterministic, so the
+  // per-side minimum is the measurement least polluted by noise.
+  constexpr int kEnumReps = 3;
+  std::vector<std::uint64_t> sweep;
+  std::vector<std::uint64_t> pruned;
+  for (int rep = 0; rep < kEnumReps; ++rep) {
+    t0 = Clock::now();
+    constexpr std::size_t kChunk = std::size_t{1} << 16;
+    const std::size_t nchunks = (total + kChunk - 1) / kChunk;
+    std::vector<std::vector<std::uint64_t>> parts(nchunks);
+    ThreadPool::global().parallel_for_each(nchunks, [&](std::size_t ci) {
+      const std::size_t begin = ci * kChunk;
+      const std::size_t end = std::min(total, begin + kChunk);
+      search::Choice c(domains.size(), 0);
+      search::choice_from_flat_into(begin, domains, c);
+      auto& part = parts[ci];
+      for (std::size_t flat = begin; flat < end; ++flat) {
+        if (Traits::validate(relaxed, space.decode(c), dev)) part.push_back(flat);
+        search::advance_choice(c, domains);
+      }
+    });
+    sweep.clear();
+    for (const auto& part : parts) sweep.insert(sweep.end(), part.begin(), part.end());
+    const double sweep_s = secs(t0);
+    if (rep == 0 || sweep_s < enum_sweep_s) enum_sweep_s = sweep_s;
 
-      t0 = Clock::now();
-      pruned = search::detail::build_skeleton_points(problem, relaxed);
-      const double pruned_s = secs(t0);
-      if (rep == 0 || pruned_s < enum_pruned_s) enum_pruned_s = pruned_s;
-    }
-
-    skeleton_points = pruned.size();
-    skeleton_match = (pruned == sweep);
+    t0 = Clock::now();
+    const tuning::ConstraintSet cs = search::prefix_constraints_for<Op>(relaxed, dev, space);
+    const tuning::ConstraintSet* csp = cs.empty() ? nullptr : &cs;
+    const search::WalkChunkPlan plan = search::plan_legal_walk(domains, csp);
+    std::vector<std::vector<std::uint64_t>> walked(plan.prefixes.size());
+    ThreadPool::global().parallel_for_each(plan.prefixes.size(), [&](std::size_t ci) {
+      auto& part = walked[ci];
+      search::run_walk_chunk(domains, csp, plan, ci,
+                             [&](const search::Choice& c, std::uint64_t flat) {
+                               if (Traits::validate(relaxed, space.decode(c), dev)) {
+                                 part.push_back(flat);
+                               }
+                               return true;
+                             });
+    });
+    pruned.clear();
+    for (const auto& part : walked) pruned.insert(pruned.end(), part.begin(), part.end());
+    const double pruned_s = secs(t0);
+    if (rep == 0 || pruned_s < enum_pruned_s) enum_pruned_s = pruned_s;
   }
+  const std::size_t skeleton_points = pruned.size();
+  const bool skeleton_match = (pruned == sweep);
 
   // Cold select() latency: fresh two-tier context, every shape a cache miss.
   core::ContextOptions opts = dispatch_options();
@@ -1150,7 +1179,7 @@ int run_search_sweep() {
         const auto t0 = std::chrono::steady_clock::now();
         core::GemmTuneResult result;
         try {
-          result = core::tune_gemm(shape, m, sim, cfg);
+          result = core::tune<core::GemmOp>(shape, m, sim, cfg);
         } catch (const std::exception& e) {
           std::fprintf(stderr, "[sweep] %s budget=%zu %s failed: %s\n", strategy.c_str(),
                        budget, shape.to_string().c_str(), e.what());

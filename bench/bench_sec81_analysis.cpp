@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
   const gpusim::Simulator sim(dev, 0.03, mo.seed);
 
   const auto isaac_result =
-      core::tune_gemm(shape, model, sim, bench::bench_inference(cli.get_flag("full")));
+      core::tune<core::GemmOp>(shape, model, sim, bench::bench_inference(cli.get_flag("full")));
   const auto& it = isaac_result.best.tuning;
   const auto isaac_profile = codegen::analyze(shape, it, dev);
   const auto isaac_perf = sim.evaluate(isaac_profile);

@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
     shape.trans_a = p.ta;
     shape.trans_b = p.tb;
     try {
-      const auto result = core::tune_gemm(shape, model, sim, inference);
+      const auto result = core::tune<core::GemmOp>(shape, model, sim, inference);
       const auto& t = result.best.tuning;
       table.add_row({p.name, std::to_string(t.ms), std::to_string(t.ns), std::to_string(t.ml),
                      std::to_string(t.nl), std::to_string(t.u), std::to_string(t.ks),

@@ -48,7 +48,7 @@ int run_gemm_figure(const GemmFigureOptions& options) {
   for (const auto& task : options.tasks) {
     core::GemmTuneResult isaac_result;
     try {
-      isaac_result = core::tune_gemm(task.shape, model, sim, inference);
+      isaac_result = core::tune<core::GemmOp>(task.shape, model, sim, inference);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "[bench] %s: tuning failed: %s\n", task.label.c_str(), e.what());
       continue;

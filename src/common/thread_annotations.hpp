@@ -83,11 +83,15 @@ class ISAAC_CAPABILITY("mutex") Mutex {
     mu_.lock();
   }
 
+  // Releases pop the rank *before* freeing the native mutex: once it is
+  // free, a waiter may destroy this object (a background task's last unlock
+  // in core::Context lets ~Context proceed), so nothing of *this is read
+  // after the native unlock.
   void unlock() ISAAC_RELEASE() {
-    mu_.unlock();
 #if ISAAC_LOCK_RANK_CHECKS
     lock_rank::on_release(rank_);
 #endif
+    mu_.unlock();
   }
 
   bool try_lock() ISAAC_TRY_ACQUIRE(true) {
@@ -125,10 +129,10 @@ class ISAAC_CAPABILITY("shared_mutex") SharedMutex {
   }
 
   void unlock() ISAAC_RELEASE() {
-    mu_.unlock();
 #if ISAAC_LOCK_RANK_CHECKS
     lock_rank::on_release(rank_);
 #endif
+    mu_.unlock();
   }
 
   void lock_shared() ISAAC_ACQUIRE_SHARED() {
@@ -139,10 +143,10 @@ class ISAAC_CAPABILITY("shared_mutex") SharedMutex {
   }
 
   void unlock_shared() ISAAC_RELEASE_SHARED() {
-    mu_.unlock_shared();
 #if ISAAC_LOCK_RANK_CHECKS
     lock_rank::on_release(rank_);
 #endif
+    mu_.unlock_shared();
   }
 
   lock_rank::Rank rank() const noexcept { return rank_; }

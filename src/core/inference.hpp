@@ -12,7 +12,7 @@
 // through SearchConfig::strategy; see search/factory.hpp.
 //
 // The whole pipeline is one templated tune<Op>() over OperationTraits<Op>
-// (core/operation.hpp); tune_gemm/tune_conv/tune_batched_gemm are aliases.
+// (core/operation.hpp).
 #pragma once
 
 #include <cstddef>
@@ -114,24 +114,5 @@ extern template ConvPredictResult predict<ConvOp>(const codegen::ConvShape&,
 extern template BatchedGemmPredictResult predict<BatchedGemmOp>(
     const codegen::BatchedGemmShape&, const mlp::Regressor&, const gpusim::DeviceDescriptor&,
     const search::SearchConfig&);
-
-inline GemmTuneResult tune_gemm(const codegen::GemmShape& shape, const mlp::Regressor& model,
-                                const gpusim::Simulator& sim,
-                                const search::SearchConfig& config = {}) {
-  return tune<GemmOp>(shape, model, sim, config);
-}
-
-inline ConvTuneResult tune_conv(const codegen::ConvShape& shape, const mlp::Regressor& model,
-                                const gpusim::Simulator& sim,
-                                const search::SearchConfig& config = {}) {
-  return tune<ConvOp>(shape, model, sim, config);
-}
-
-inline BatchedGemmTuneResult tune_batched_gemm(const codegen::BatchedGemmShape& shape,
-                                               const mlp::Regressor& model,
-                                               const gpusim::Simulator& sim,
-                                               const search::SearchConfig& config = {}) {
-  return tune<BatchedGemmOp>(shape, model, sim, config);
-}
 
 }  // namespace isaac::core

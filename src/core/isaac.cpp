@@ -205,23 +205,9 @@ bool Context::schedule_retrain() {
   if (retrain_inflight_.exchange(true, std::memory_order_acq_rel)) return false;
   last_retrain_mark_.store(observations_recorded_.load(std::memory_order_relaxed),
                            std::memory_order_relaxed);
-  {
-    sync::MutexLock lock(background_mutex_);
-    ++background_pending_;
-  }
   ISAAC_TM_COUNT("model.retrain_enqueued");
   const std::uint64_t parent_span = telemetry::current_span();
-  ThreadPool::global().submit([this, parent_span] {
-    run_retrain(parent_span);
-    // Last step, notify under the lock: a destructor waiting on
-    // background_pending_ == 0 cannot resume (and free `this`) until this
-    // task's unlock, after which the task touches nothing of `this`.
-    {
-      sync::MutexLock lock(background_mutex_);
-      --background_pending_;
-      background_cv_.notify_all();
-    }
-  });
+  submit_background([this, parent_span] { run_retrain(parent_span); });
   return true;
 }
 

@@ -194,11 +194,6 @@ class Context {
     if (!snapshot) throw std::logic_error("Context: no model trained or installed");
     return core::tune<Op>(shape, snapshot->regressor(), sim_, options_.search);
   }
-  GemmTuneResult tune_gemm(const codegen::GemmShape& shape) { return tune<GemmOp>(shape); }
-  ConvTuneResult tune_conv(const codegen::ConvShape& shape) { return tune<ConvOp>(shape); }
-  BatchedGemmTuneResult tune_batched_gemm(const codegen::BatchedGemmShape& shape) {
-    return tune<BatchedGemmOp>(shape);
-  }
 
   /// Tune (or fetch from cache), execute the selected kernel functionally on
   /// the host buffers through the op's executor hook, and report the
@@ -273,9 +268,6 @@ class Context {
   /// the Context down.
   template <typename Op>
   std::future<void> warmup(std::vector<typename OperationTraits<Op>::Shape> shapes);
-  std::future<void> warmup(std::vector<codegen::GemmShape> shapes) {
-    return warmup<GemmOp>(std::move(shapes));
-  }
 
   /// Block until no warmup or refinement task is outstanding. After this,
   /// every entry whose refinement was pending has reached its final tier.
@@ -406,6 +398,16 @@ class Context {
   /// Exactly-once gate + pool submission; false when one is already pending.
   bool schedule_retrain();
 
+  /// Run `body` on the global pool as a background task that ~Context and
+  /// drain_background() wait for (refinements, warmup selections, retrains
+  /// all capture `this`). The count goes up before the submit; the task's
+  /// last step, after `body` returns, takes it down and notifies *under*
+  /// background_mutex_ — a destructor waiting on zero cannot resume (and
+  /// free `this`) until that unlock, after which the task touches nothing of
+  /// `this`. `body` must not throw.
+  template <typename Fn>
+  void submit_background(Fn body);
+
   /// The retrain body: drain log → warm-start train → hot swap. Returns
   /// whether a successor was swapped in; always clears the in-flight gate.
   bool run_retrain(std::uint64_t parent_span);
@@ -479,8 +481,8 @@ class Context {
   std::atomic<std::uint64_t> observations_recorded_{0};
   std::atomic<std::uint64_t> last_retrain_mark_{0};
 
-  // Outstanding background tasks — warmup selections, refinements and
-  // retrains (they capture `this`); ~Context waits on zero.
+  // Outstanding background tasks (submit_background) — warmup selections,
+  // refinements and retrains (they capture `this`); ~Context waits on zero.
   //
   // Documented order vs inflight_mutex_ (the ISSUE-10 finding): today no
   // thread holds both, but maybe_refine() and the refinement task acquire
@@ -706,10 +708,6 @@ void Context::maybe_refine(const std::string& key,
     refining_.erase(key);
     return;
   }
-  {
-    sync::MutexLock lock(background_mutex_);
-    ++background_pending_;
-  }
   ISAAC_TM_COUNT("refine.enqueued");
   // Cross-thread span linkage: the refinement runs on a pool worker, so the
   // enqueuing dispatch's span id travels explicitly and the queue delay is
@@ -717,7 +715,7 @@ void Context::maybe_refine(const std::string& key,
   const std::uint64_t parent_span = telemetry::current_span();
   const std::uint64_t enqueue_us =
       (telemetry::enabled() || telemetry::tracing()) ? telemetry::now_us() : 0;
-  ThreadPool::global().submit([this, key, shape, parent_span, enqueue_us] {
+  submit_background([this, key, shape, parent_span, enqueue_us] {
     const std::uint64_t begin_us = enqueue_us ? telemetry::now_us() : 0;
     if (begin_us) {
       ISAAC_TM_RECORD("refine.queue_us", begin_us - enqueue_us);
@@ -726,8 +724,8 @@ void Context::maybe_refine(const std::string& key,
     bool upgraded = false;
     bool failed = false;
     {
-      // Scoped so the span record lands in the ring *before* the completion
-      // notification below: drain_background() returning must imply the
+      // Scoped so the span record lands in the ring *before* submit_background
+      // notifies completion: drain_background() returning must imply the
       // refinement's spans are observable in a snapshot.
       telemetry::Span run_span("refine.run", parent_span);
       try {
@@ -829,14 +827,20 @@ void Context::maybe_refine(const std::string& key,
       }
     }
     refine_pending_.fetch_sub(1, std::memory_order_acq_rel);
-    // Last step, notify under the lock: a destructor waiting on
-    // background_pending_ == 0 cannot resume (and free `this`) until this
-    // task's unlock, after which the task touches nothing of `this`.
-    {
-      sync::MutexLock lock(background_mutex_);
-      --background_pending_;
-      background_cv_.notify_all();
-    }
+  });
+}
+
+template <typename Fn>
+void Context::submit_background(Fn body) {
+  {
+    sync::MutexLock lock(background_mutex_);
+    ++background_pending_;
+  }
+  ThreadPool::global().submit([this, body = std::move(body)] {
+    body();
+    sync::MutexLock lock(background_mutex_);
+    --background_pending_;
+    background_cv_.notify_all();
   });
 }
 
@@ -856,12 +860,8 @@ std::future<void> Context::warmup(std::vector<typename OperationTraits<Op>::Shap
   }
   state->remaining.store(shapes.size());
   ISAAC_TM_COUNT_N("warmup.shapes", shapes.size());
-  {
-    sync::MutexLock lock(background_mutex_);
-    background_pending_ += shapes.size();
-  }
   for (auto& shape : shapes) {
-    ThreadPool::global().submit([this, state, shape = std::move(shape)] {
+    submit_background([this, state, shape = std::move(shape)] {
       try {
         select<Op>(shape);
       } catch (...) {
@@ -883,14 +883,6 @@ std::future<void> Context::warmup(std::vector<typename OperationTraits<Op>::Shap
         } else {
           state->done.set_value();
         }
-      }
-      // Last step, notify under the lock: a destructor waiting on
-      // background_pending_ == 0 cannot resume (and free `this`) until this
-      // task's unlock, after which the task touches nothing of `this`.
-      {
-        sync::MutexLock lock(background_mutex_);
-        --background_pending_;
-        background_cv_.notify_all();
       }
     });
   }

@@ -14,20 +14,14 @@
 //                                       allocation-free scoring pipeline
 //                                       (optional: SearchProblem adapts
 //                                       featurize when an op lacks it)
-//   relax_shape(shape)                — a shape of the same structural class
-//                                       (dtype/layout preserved) whose
-//                                       shape-dependent legality checks are
-//                                       maximally permissive; backs the
-//                                       structural-skeleton enumeration
-//                                       cache (optional: ops without it
-//                                       rank with a dense legality sweep)
 //   prefix_constraints(shape, dev,
 //                      space)         — the per-dimension partial-validity
 //                                       layer for the constraint-propagating
 //                                       space walk (tuning::walk_legal):
 //                                       necessary conditions of validate,
 //                                       evaluated on prefixes so illegal
-//                                       subtrees are pruned unvisited
+//                                       subtrees are pruned unvisited; every
+//                                       dense ranking enumerates through it
 //                                       (optional: ops without it enumerate
 //                                       generate-and-test)
 //   flops(shape)                      — useful FLOPs of one call
@@ -91,15 +85,6 @@ struct OperationTraits<GemmOp> {
   }
   static double flops(const Shape& s) { return s.flops(); }
 
-  /// Same dtype and layout, dimensions blown up so every m/n/k-dependent
-  /// legality constraint (KG ≤ K, U·KL ≤ ⌈K/KG⌉) is satisfied whenever it is
-  /// satisfiable — the structural proxy the skeleton cache validates against.
-  static Shape relax_shape(const Shape& s) {
-    Shape r = s;
-    r.m = r.n = r.k = std::int64_t{1} << 30;
-    return r;
-  }
-
   /// Prefix predicates for the pruned legal-space walk: tile divisibility,
   /// shared-memory/occupancy bounds, reduction-split limits.
   static tuning::ConstraintSet prefix_constraints(const Shape& s,
@@ -151,17 +136,6 @@ struct OperationTraits<ConvOp> {
   }
   static double flops(const Shape& s) { return s.flops(); }
 
-  /// Filter geometry, padding, strides and dtype preserved; batch, channels
-  /// and spatial extents blown up so the output-extent tile checks
-  /// (BP ≤ 2P, BQ ≤ 2Q, BN ≤ 2N) and the reduction-depth checks over
-  /// C·R·S always pass when they can pass.
-  static Shape relax_shape(const Shape& s) {
-    Shape r = s;
-    r.n = r.c = r.k = std::int64_t{1} << 20;
-    r.h = r.w = std::int64_t{1} << 20;
-    return r;
-  }
-
   /// Prefix predicates through the implicit-GEMM lowering (output-extent and
   /// C·R·S reduction limits plus the lowered GEMM's structural bounds).
   static tuning::ConstraintSet prefix_constraints(const Shape& s,
@@ -210,17 +184,6 @@ struct OperationTraits<BatchedGemmOp> {
     tuning::features_into(s, t, out);
   }
   static double flops(const Shape& s) { return s.flops(); }
-
-  /// Batched legality = per-matrix GEMM legality (plus the structural KG = 1
-  /// pin), so relaxing the underlying GEMM dims suffices. The batch count
-  /// only gates batch > 0 — pin it to 1 so every batch size shares one
-  /// skeleton.
-  static Shape relax_shape(const Shape& s) {
-    Shape r = s;
-    r.gemm = OperationTraits<GemmOp>::relax_shape(s.gemm);
-    r.batch = 1;
-    return r;
-  }
 
   /// The per-matrix GEMM layer, plus the batched-specific conditions: an
   /// empty batch makes everything illegal, and KG must stay 1. The default

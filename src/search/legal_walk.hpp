@@ -9,8 +9,8 @@
 // chunk i+1's in flat (odometer) order, so per-chunk results concatenated in
 // chunk order reproduce the serial walk — and therefore the generate-and-test
 // sweep filtered by codegen::validate — exactly. That order identity is what
-// lets rank_legal_space and the skeleton builder swap enumeration engines
-// without moving a single candidate.
+// lets rank_legal_space enumerate through the walk alone without moving a
+// single candidate.
 #pragma once
 
 #include <algorithm>

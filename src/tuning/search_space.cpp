@@ -21,8 +21,8 @@ std::vector<int> maybe_cap(const std::vector<int>& values, bool cap16) {
 // Saturating |X̂|: conv-scale domain sets can overflow 64 bits, and a
 // silently wrapped size() corrupts budget clamps and flat-stride math
 // downstream. SIZE_MAX is the explicit "too large to index flat" sentinel —
-// consumers doing exact flat arithmetic (skeleton materialization, strided
-// probing) must check for it and take the lazy-walk path instead.
+// consumers doing exact flat arithmetic (strided probing, walk-chunk flat
+// bases) must check for it and take the lazy-walk path instead.
 std::size_t product_size(const std::vector<ParameterDomain>& domains) {
   std::size_t total = 1;
   for (const auto& d : domains) {

@@ -45,6 +45,28 @@ TEST(ConvShape, DerivedDims) {
   EXPECT_EQ(s.q(), 5);
 }
 
+TEST(ConvShape, FilterLargerThanPaddedInputHasNoOutput) {
+  // 2×2 input, 3×3 filter, stride 2: the only window hangs off the image.
+  ConvShape s;
+  s.n = 2;
+  s.c = 2;
+  s.k = 8;
+  s.h = s.w = 2;
+  s.r = s.s = 3;
+  s.stride_h = s.stride_w = 2;
+  EXPECT_LE(s.p(), 0);
+  EXPECT_LE(s.q(), 0);
+  std::string why;
+  EXPECT_FALSE(validate(s, tiny_tuning(), gpusim::gtx980ti(), &why));
+  EXPECT_EQ(why, "filter larger than padded input");
+  const std::vector<float> input(16, 1.0f), filters(256, 1.0f);
+  std::vector<float> output(64, 7.0f);
+  EXPECT_THROW(execute_conv(s, tiny_tuning(), 1.0f, input.data(), filters.data(), 0.0f,
+                            output.data()),
+               std::invalid_argument);
+  for (float v : output) EXPECT_EQ(v, 7.0f);
+}
+
 TEST(ConvShape, FromNpqMatchesTable5Convention) {
   // Conv5 of Table 5: N=8, P=Q=54, K=64, C=64, R=S=3.
   const auto s = ConvShape::from_npq(8, 54, 54, 64, 64, 3, 3);

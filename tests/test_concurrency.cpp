@@ -246,7 +246,7 @@ TEST(ConcurrentDispatch, WarmupPreTunesAsynchronously) {
 
   auto shapes = stress_shapes();
   shapes.resize(3);
-  auto done = ctx.warmup(shapes);
+  auto done = ctx.warmup<GemmOp>(shapes);
   done.wait();
   // The warmup future resolves once every shape is cached (provisionally at
   // least); draining also lands the refinements.
@@ -274,8 +274,8 @@ TEST(ConcurrentDispatch, AbandonedWarmupFutureIsSafe) {
   {
     Context ctx(gpusim::tesla_p100(), fast_options());
     ctx.set_model(shared_model());
-    ctx.warmup(shapes);  // future discarded on purpose
-  }                      // ~Context waits for both tasks here
+    ctx.warmup<GemmOp>(shapes);  // future discarded on purpose
+  }                              // ~Context waits for both tasks here
   SUCCEED();
 }
 

@@ -46,7 +46,7 @@ TEST(Inference, FindsLegalWinner) {
   gpusim::Simulator sim(gpusim::tesla_p100(), 0.03, 7);
   codegen::GemmShape shape;
   shape.m = shape.n = shape.k = 512;
-  const auto result = tune_gemm(shape, shared_model(), sim, fast_inference());
+  const auto result = tune<GemmOp>(shape, shared_model(), sim, fast_inference());
   EXPECT_GT(result.legal, 0u);
   EXPECT_GT(result.enumerated, result.legal);
   EXPECT_GT(result.best.measured_gflops, 0.0);
@@ -59,7 +59,7 @@ TEST(Inference, TopKSortedByMeasurement) {
   shape.m = 2560;
   shape.n = 32;
   shape.k = 2560;
-  const auto result = tune_gemm(shape, shared_model(), sim, fast_inference());
+  const auto result = tune<GemmOp>(shape, shared_model(), sim, fast_inference());
   ASSERT_GE(result.top.size(), 2u);
   for (std::size_t i = 1; i < result.top.size(); ++i) {
     EXPECT_GE(result.top[i - 1].measured_gflops, result.top[i].measured_gflops);
@@ -75,7 +75,7 @@ TEST(Inference, SkinnyShapeGetsNarrowTile) {
   shape.m = 2560;
   shape.n = 16;
   shape.k = 2560;
-  const auto result = tune_gemm(shape, shared_model(), sim, fast_inference());
+  const auto result = tune<GemmOp>(shape, shared_model(), sim, fast_inference());
   EXPECT_LE(result.best.tuning.nl, 32) << result.best.tuning.to_string();
 }
 
@@ -85,7 +85,7 @@ TEST(Inference, DeepReductionGetsSplit) {
   codegen::GemmShape shape;
   shape.m = shape.n = 32;
   shape.k = 60000;
-  const auto result = tune_gemm(shape, shared_model(), sim, fast_inference());
+  const auto result = tune<GemmOp>(shape, shared_model(), sim, fast_inference());
   EXPECT_GT(result.best.tuning.kg * result.best.tuning.kl, 1)
       << result.best.tuning.to_string();
 }
@@ -95,7 +95,7 @@ TEST(Inference, ConvTuningWorks) {
   const auto shape = codegen::ConvShape::from_npq(8, 54, 54, 64, 64, 3, 3);
   search::SearchConfig cfg = fast_inference();
   cfg.max_candidates = 5000;
-  const auto result = tune_conv(shape, shared_model(), sim, cfg);
+  const auto result = tune<ConvOp>(shape, shared_model(), sim, cfg);
   EXPECT_GT(result.best.measured_gflops, 0.0);
   EXPECT_TRUE(codegen::validate(shape, result.best.tuning, sim.device()));
 }
@@ -109,7 +109,7 @@ TEST(Inference, BatchedGemmTuningRespectsConstraints) {
   shape.gemm.m = 128;
   shape.gemm.n = 64;
   shape.gemm.k = 256;
-  const auto result = tune_batched_gemm(shape, shared_model(), sim, fast_inference());
+  const auto result = tune<BatchedGemmOp>(shape, shared_model(), sim, fast_inference());
   EXPECT_GT(result.legal, 0u);
   EXPECT_GT(result.best.measured_gflops, 0.0);
   EXPECT_EQ(result.best.tuning.kg, 1);
@@ -121,7 +121,7 @@ TEST(Inference, ImpossibleShapeThrows) {
   codegen::GemmShape shape;
   shape.m = shape.n = 64;
   shape.k = 2;  // below the smallest prefetch depth (U >= 4): no legal config
-  EXPECT_THROW(tune_gemm(shape, shared_model(), sim, fast_inference()), std::runtime_error);
+  EXPECT_THROW(tune<GemmOp>(shape, shared_model(), sim, fast_inference()), std::runtime_error);
 }
 
 // ------------------------------------------------------------ profile cache --
@@ -129,17 +129,17 @@ TEST(ProfileCache, InMemoryRoundTrip) {
   ProfileCache cache;
   codegen::GemmShape shape;
   shape.m = shape.n = shape.k = 512;
-  EXPECT_FALSE(cache.lookup_gemm("p100", shape).has_value());
+  EXPECT_FALSE(cache.lookup<GemmOp>("p100", shape).has_value());
   codegen::GemmTuning t;
   t.ml = 32;
-  cache.store_gemm("p100", shape, t);
-  const auto got = cache.lookup_gemm("p100", shape);
+  cache.store<GemmOp>("p100", shape, t);
+  const auto got = cache.lookup<GemmOp>("p100", shape);
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->ml, 32);
   // Different device or shape: miss.
-  EXPECT_FALSE(cache.lookup_gemm("gtx980ti", shape).has_value());
+  EXPECT_FALSE(cache.lookup<GemmOp>("gtx980ti", shape).has_value());
   shape.trans_a = true;
-  EXPECT_FALSE(cache.lookup_gemm("p100", shape).has_value());
+  EXPECT_FALSE(cache.lookup<GemmOp>("p100", shape).has_value());
 }
 
 TEST(ProfileCache, PersistsAcrossInstances) {
@@ -155,17 +155,17 @@ TEST(ProfileCache, PersistsAcrossInstances) {
     codegen::GemmTuning t;
     t.nl = 16;
     t.kg = 4;
-    cache.store_gemm("p100", shape, t);
+    cache.store<GemmOp>("p100", shape, t);
     codegen::ConvTuning ct;
     ct.bk = 64;
-    cache.store_conv("p100", cshape, ct);
+    cache.store<ConvOp>("p100", cshape, ct);
   }
   ProfileCache reloaded(dir);
-  const auto got = reloaded.lookup_gemm("p100", shape);
+  const auto got = reloaded.lookup<GemmOp>("p100", shape);
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->nl, 16);
   EXPECT_EQ(got->kg, 4);
-  const auto cgot = reloaded.lookup_conv("p100", cshape);
+  const auto cgot = reloaded.lookup<ConvOp>("p100", cshape);
   ASSERT_TRUE(cgot.has_value());
   EXPECT_EQ(cgot->bk, 64);
   std::filesystem::remove_all(dir);
@@ -175,10 +175,10 @@ TEST(ProfileCache, KeysDistinguishDtypeAndLayout) {
   codegen::GemmShape a, b;
   a.m = b.m = a.n = b.n = a.k = b.k = 128;
   b.dtype = gpusim::DataType::F16;
-  EXPECT_NE(ProfileCache::gemm_key("d", a), ProfileCache::gemm_key("d", b));
+  EXPECT_NE(ProfileCache::key<GemmOp>("d", a), ProfileCache::key<GemmOp>("d", b));
   b = a;
   b.trans_b = true;
-  EXPECT_NE(ProfileCache::gemm_key("d", a), ProfileCache::gemm_key("d", b));
+  EXPECT_NE(ProfileCache::key<GemmOp>("d", a), ProfileCache::key<GemmOp>("d", b));
 }
 
 TEST(ProfileCache, KeysDistinguishOperations) {
@@ -566,7 +566,7 @@ TEST(Context, RequiresModel) {
   Context ctx(gpusim::gtx980ti());
   codegen::GemmShape shape;
   shape.m = shape.n = shape.k = 256;
-  EXPECT_THROW(ctx.tune_gemm(shape), std::logic_error);
+  EXPECT_THROW(ctx.tune<GemmOp>(shape), std::logic_error);
 }
 
 TEST(Context, TrainModelProducesUsableModel) {
@@ -577,7 +577,7 @@ TEST(Context, TrainModelProducesUsableModel) {
   EXPECT_TRUE(ctx.has_model());
   codegen::GemmShape shape;
   shape.m = shape.n = shape.k = 512;
-  const auto result = ctx.tune_gemm(shape);
+  const auto result = ctx.tune<GemmOp>(shape);
   EXPECT_GT(result.best.measured_gflops, 0.0);
 }
 

@@ -61,11 +61,9 @@ TEST(LockRank, RankNamesAndOrderingMatchTheDocumentedTable) {
   EXPECT_LT(static_cast<int>(Rank::logging), static_cast<int>(Rank::failpoint_registry));
   EXPECT_LT(static_cast<int>(Rank::failpoint_registry), static_cast<int>(Rank::cache_shard));
   EXPECT_LT(static_cast<int>(Rank::breaker), static_cast<int>(Rank::breaker_map));
-  EXPECT_LT(static_cast<int>(Rank::skeleton), static_cast<int>(Rank::inflight));
   EXPECT_STREQ(lock_rank::name(Rank::inflight), "inflight");
   EXPECT_STREQ(lock_rank::name(Rank::cache_shard), "cache_shard");
   EXPECT_STREQ(lock_rank::name(Rank::background), "background");
-  EXPECT_STREQ(lock_rank::name(Rank::skeleton), "skeleton");
 }
 
 TEST(LockRank, HeaderGateAndLibraryAgree) {

@@ -4,13 +4,16 @@
 // strategy-driven adaptive offline collection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <initializer_list>
 #include <limits>
 #include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "core/inference.hpp"
 #include "gpusim/device.hpp"
 #include "gpusim/simulator.hpp"
@@ -158,8 +161,8 @@ TEST(SearchRegistry, NamesRoundTripThroughFactory) {
 TEST(SearchRegistry, UnknownStrategyThrows) {
   gpusim::Simulator sim(gpusim::tesla_p100(), 0.03, 7);
   EXPECT_THROW(
-      core::tune_gemm(gemm_shape(512, 512, 512), shared_model(), sim,
-                      strategy_config("gradient_descent", 8)),
+      core::tune<core::GemmOp>(gemm_shape(512, 512, 512), shared_model(), sim,
+                               strategy_config("gradient_descent", 8)),
       std::invalid_argument);
 }
 
@@ -212,8 +215,8 @@ TEST(SearchStrategies, SeededStochasticStrategiesAreReproducible) {
   const auto shape = gemm_shape(896, 128, 1024);
   for (const std::string name : {"random", "genetic", "annealing"}) {
     const auto cfg = strategy_config(name, 48, /*seed=*/0xF00D);
-    const auto a = core::tune_gemm(shape, shared_model(), sim, cfg);
-    const auto b = core::tune_gemm(shape, shared_model(), sim, cfg);
+    const auto a = core::tune<core::GemmOp>(shape, shared_model(), sim, cfg);
+    const auto b = core::tune<core::GemmOp>(shape, shared_model(), sim, cfg);
     EXPECT_EQ(a.best.tuning, b.best.tuning) << name;
     EXPECT_DOUBLE_EQ(a.best.measured_gflops, b.best.measured_gflops) << name;
     EXPECT_EQ(a.measured, b.measured) << name;
@@ -222,7 +225,7 @@ TEST(SearchStrategies, SeededStochasticStrategiesAreReproducible) {
     // seed is actually consumed; the *best* config may still coincide).
     auto reseeded = cfg;
     reseeded.seed = 0xBEEF;
-    const auto c = core::tune_gemm(shape, shared_model(), sim, reseeded);
+    const auto c = core::tune<core::GemmOp>(shape, shared_model(), sim, reseeded);
     EXPECT_NE(a.enumerated, c.enumerated) << name;
   }
 }
@@ -234,7 +237,7 @@ TEST(SearchStrategies, EveryStrategyRespectsTheBudgetExactly) {
   constexpr std::size_t kBudget = 24;
   for (const auto& name : search::strategy_names()) {
     const auto result =
-        core::tune_gemm(shape, shared_model(), sim, strategy_config(name, kBudget));
+        core::tune<core::GemmOp>(shape, shared_model(), sim, strategy_config(name, kBudget));
     EXPECT_EQ(result.measured, kBudget) << name;
     // top is de-duplicated, so re-proposals (annealing revisits) may shrink it.
     EXPECT_LE(result.top.size(), kBudget) << name;
@@ -250,8 +253,10 @@ TEST(SearchStrategies, AnytimeBestIsBestOfMeasuredPrefix) {
   // prefix of a seeded strategy's trajectory is itself a valid run.
   gpusim::Simulator sim(gpusim::tesla_p100(), 0.03, 7);
   const auto shape = gemm_shape(2560, 32, 2560);
-  const auto small = core::tune_gemm(shape, shared_model(), sim, strategy_config("random", 16));
-  const auto large = core::tune_gemm(shape, shared_model(), sim, strategy_config("random", 64));
+  const auto small =
+      core::tune<core::GemmOp>(shape, shared_model(), sim, strategy_config("random", 16));
+  const auto large =
+      core::tune<core::GemmOp>(shape, shared_model(), sim, strategy_config("random", 64));
   EXPECT_GE(large.best.measured_gflops, small.best.measured_gflops);
 }
 
@@ -399,7 +404,7 @@ TEST(SearchStrategies, EmptyLegalSpaceThrowsDescriptively) {
   // already covers cheaply.
   for (const std::string name : {"exhaustive", "model_topk"}) {
     try {
-      core::tune_gemm(shape, shared_model(), sim, strategy_config(name, 8));
+      core::tune<core::GemmOp>(shape, shared_model(), sim, strategy_config(name, 8));
       FAIL() << name << " did not throw on an empty legal space";
     } catch (const std::runtime_error& e) {
       const std::string what = e.what();
@@ -493,8 +498,8 @@ TEST(ModelGuidedTopK, MatchesExhaustiveOnSeedShapeGrid) {
 // ----------------------------------------- ranking-rewrite determinism ----
 
 /// Pre-rewrite reference ranking: the exact candidate pipeline
-/// rank_legal_space ran before the structural-skeleton and FeatureBatch
-/// rewrite — serial odometer sweep, stride subsample with seed re-append,
+/// rank_legal_space ran before the pruned-walk and FeatureBatch rewrites —
+/// serial odometer sweep, stride subsample with seed re-append,
 /// vector-of-vectors featurization through the legacy chunked scorer, full
 /// partial sort with the shared tie-break. A sibling replica lives in
 /// bench/bench_inference_throughput.cpp (legacy_rank) as the bench's
@@ -549,7 +554,7 @@ TEST(RankLegalSpace, OrderingUnchangedByAllocationFreeRewrite) {
   // Acceptance criterion for both the scoring-pipeline rewrite and the
   // constraint-propagating enumeration: over the agreement test's shape grid
   // plus a batched-GEMM panel (20 shapes across all three op classes), the
-  // skeleton-backed, pruned-walk, FeatureBatch-scored rank_legal_space must
+  // pooled pruned-walk, FeatureBatch-scored rank_legal_space must
   // reproduce the generate-and-test pipeline bit-for-bit — same candidate
   // sequences, same scores, same best-first order, same X̂ accounting.
   const gpusim::DeviceDescriptor& dev = gpusim::tesla_p100();
@@ -644,7 +649,7 @@ TEST(PrunedWalk, ForEachLegalMatchesGenerateAndTest) {
 
 TEST(PrunedWalk, SkeletonKeyIsolatedAcrossDeviceLimits) {
   // Two descriptors sharing a name but differing in a legality-relevant
-  // limit must never share a structural skeleton: each device's ranking has
+  // limit must never share enumeration results: each device's ranking has
   // to agree with a reference sweep performed against that same device.
   const gpusim::DeviceDescriptor small = [] {
     gpusim::DeviceDescriptor d = gpusim::tesla_p100();
@@ -674,15 +679,15 @@ TEST(PrunedWalk, SkeletonKeyIsolatedAcrossDeviceLimits) {
     legal_counts.push_back(fast.legal);
   }
   // The cut-down device must actually lose candidates — otherwise this test
-  // could pass with the two devices silently sharing one skeleton.
+  // could pass with the two devices silently sharing one candidate set.
   ASSERT_EQ(legal_counts.size(), 2u);
   EXPECT_LT(legal_counts[1], legal_counts[0]);
 }
 
 /// A GEMM space inflated past 2^32 points with junk values that can never be
 /// legal for a modest shape (KG far beyond K, NL blowing out shared memory).
-/// Every flat index above 2^32 would have wrapped the old 32-bit skeleton
-/// indices; the space must instead take the lazy pruned-walk ranking path.
+/// Flat indices above 2^32 must neither wrap nor be materialized: the lazy
+/// pruned walk skips the junk subtrees and ranks exactly the clean space.
 struct OversizedGemmSpace : tuning::GemmSearchSpace {
   OversizedGemmSpace() {
     for (auto& d : domains_) {
@@ -726,6 +731,133 @@ TEST(PrunedWalk, OversizedSpaceRanksThroughLazyWalk) {
     ASSERT_DOUBLE_EQ(a.scores[i], b.scores[i]) << i;
   }
   ASSERT_EQ(a.order, b.order);
+}
+
+// ------------------------------------------ prefix-gate soundness ----
+
+/// The seed-core GEMM domains under the batched op, KG widened back so the
+/// batched kg = 1 gate has points to reject.
+struct SeedCoreBatchedGemmSpace : tuning::BatchedGemmSearchSpace {
+  SeedCoreBatchedGemmSpace() { domains_ = SeedCoreGemmSpace().domains(); }
+};
+
+TEST(PrunedWalk, PrefixGatesAreNecessaryUnderAdversarialInputs) {
+  // Dense ranking enumerates only through the pruned walk, gated by the real
+  // shape's prefix_constraints, so every gate must be a *necessary*
+  // condition of validate: a gate that rejects a point validate accepts
+  // silently drops a legal candidate. Seeded random shapes (unit and odd
+  // extents, all dtypes and layouts, conv padding and strides up to 3,
+  // filters up to 7×7) against devices whose shared memory, register and
+  // thread limits are cut down at random; the pruned enumeration must keep
+  // exactly the generate-and-test survivors, in the same order.
+  const SeedCoreGemmSpace gemm_space;
+  const SeedCoreConvSpace conv_space;
+  const SeedCoreBatchedGemmSpace batched_space;
+  Rng rng(20261020);
+  const auto pick = [&](std::initializer_list<std::int64_t> values) {
+    const auto i = rng.uniform_int(0, static_cast<std::int64_t>(values.size()) - 1);
+    return *(values.begin() + i);
+  };
+  const auto shrunk_device = [&] {
+    gpusim::DeviceDescriptor d =
+        rng.uniform_int(0, 1) ? gpusim::tesla_p100() : gpusim::gtx980ti();
+    const auto cut = [&](int v) { return std::max(1, v >> rng.uniform_int(0, 3)); };
+    d.smem_per_block_bytes = cut(d.smem_per_block_bytes);
+    d.smem_per_sm_bytes = cut(d.smem_per_sm_bytes);
+    d.registers_per_sm = cut(d.registers_per_sm);
+    d.max_registers_per_thread = cut(d.max_registers_per_thread);
+    d.max_threads_per_block = cut(d.max_threads_per_block);
+    return d;
+  };
+  const auto gemm = [&] {
+    codegen::GemmShape s;
+    s.m = pick({1, 2, 3, 7, 31, 33, 127, 512, 4097});
+    s.n = pick({1, 2, 3, 7, 31, 33, 127, 512, 4097});
+    s.k = pick({1, 2, 3, 5, 15, 17, 63, 129, 2048, 60001});
+    s.dtype = static_cast<gpusim::DataType>(rng.uniform_int(0, 2));
+    s.trans_a = rng.uniform_int(0, 1) != 0;
+    s.trans_b = rng.uniform_int(0, 1) != 0;
+    return s;
+  };
+  constexpr int kCases = 3000;
+  // Cases with at least one legal point, per op: only those can expose a
+  // gate that is too strict.
+  int gemm_legal = 0, batched_legal = 0, conv_legal = 0;
+  for (int i = 0; i < kCases; ++i) {
+    const gpusim::DeviceDescriptor dev = shrunk_device();
+    const std::string limits = " smem/block " + std::to_string(dev.smem_per_block_bytes) +
+                               " smem/sm " + std::to_string(dev.smem_per_sm_bytes) +
+                               " regs/sm " + std::to_string(dev.registers_per_sm) +
+                               " regs/thread " + std::to_string(dev.max_registers_per_thread) +
+                               " threads/block " + std::to_string(dev.max_threads_per_block);
+    const codegen::GemmShape g = gemm();
+    {
+      std::vector<codegen::GemmTuning> truth, walked;
+      gemm_space.for_each([&](const codegen::GemmTuning& t) {
+        if (codegen::validate(g, t, dev)) truth.push_back(t);
+        return true;
+      });
+      gemm_space.for_each_legal(g, dev, [&](const codegen::GemmTuning& t) {
+        walked.push_back(t);
+        return true;
+      });
+      EXPECT_EQ(walked, truth) << "gemm " << g.to_string() << limits;
+      gemm_legal += !truth.empty();
+    }
+    {
+      codegen::BatchedGemmShape b;
+      b.gemm = g;
+      b.batch = pick({0, 1, 3, 64});
+      // The batched gates live in the op traits (the space's own
+      // for_each_legal takes a plain GEMM shape), so walk them directly.
+      using Traits = core::OperationTraits<core::BatchedGemmOp>;
+      std::vector<codegen::GemmTuning> truth, walked;
+      batched_space.for_each([&](const codegen::GemmTuning& t) {
+        if (Traits::validate(b, t, dev)) truth.push_back(t);
+        return true;
+      });
+      const tuning::ConstraintSet cs =
+          search::prefix_constraints_for<core::BatchedGemmOp>(b, dev, batched_space);
+      tuning::walk_legal(batched_space.domains(), &cs,
+                         [&](const search::Choice& c, std::uint64_t) {
+                           const codegen::GemmTuning t = batched_space.decode(c);
+                           if (Traits::validate(b, t, dev)) walked.push_back(t);
+                           return true;
+                         });
+      EXPECT_EQ(walked, truth) << "bgemm " << b.batch << "x" << g.to_string() << limits;
+      batched_legal += !truth.empty();
+    }
+    {
+      codegen::ConvShape s;
+      s.n = pick({1, 3, 4, 8, 33});
+      s.c = pick({1, 3, 16, 65});
+      s.k = pick({1, 5, 32, 129});
+      s.h = pick({1, 2, 7, 14, 28, 55});
+      s.w = pick({1, 2, 7, 14, 28, 55});
+      s.r = rng.uniform_int(1, 7);
+      s.s = rng.uniform_int(1, 7);
+      s.pad_h = rng.uniform_int(0, 3);
+      s.pad_w = rng.uniform_int(0, 3);
+      s.stride_h = rng.uniform_int(1, 3);
+      s.stride_w = rng.uniform_int(1, 3);
+      s.dtype = static_cast<gpusim::DataType>(rng.uniform_int(0, 2));
+      std::vector<codegen::ConvTuning> truth, walked;
+      conv_space.for_each([&](const codegen::ConvTuning& t) {
+        if (codegen::validate(s, t, dev)) truth.push_back(t);
+        return true;
+      });
+      conv_space.for_each_legal(s, dev, [&](const codegen::ConvTuning& t) {
+        walked.push_back(t);
+        return true;
+      });
+      EXPECT_EQ(walked, truth) << "conv " << s.to_string() << limits;
+      conv_legal += !truth.empty();
+    }
+  }
+  // Guard against a vacuous pass: a healthy share of cases has legal points.
+  EXPECT_GT(gemm_legal, kCases / 10);
+  EXPECT_GT(batched_legal, kCases / 10);
+  EXPECT_GT(conv_legal, kCases / 10);
 }
 
 TEST(SearchSpaceSize, SaturatesInsteadOfWrapping) {
